@@ -3,266 +3,83 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
-	"blackboxflow/internal/transport"
 )
 
 // opCount tallies one operator's exact record movement inside a fused loop
 // (chained Maps, combining senders): records in, records out, UDF calls.
 type opCount struct{ in, out, calls int }
 
-// combineCounts are one sender goroutine's statistics of a combining
-// shuffle: the per-level counts of the fused Map chain, the number of
-// records that entered the combining accumulator (the Reduce's logical
-// input), and the combiner invocations performed.
-type combineCounts struct {
-	chain         []opCount
-	combineIn     int
-	combinerCalls int
+// combiner is the state of one combining shuffle: the maximal chain of
+// Maps fused into the senders, the Reduce whose combiner each sender
+// applies to every per-target batch before flushing it, and one tally per
+// sender (each sender goroutine owns its index).
+type combiner struct {
+	chain  []*optimizer.PhysPlan
+	op     *dataflow.Operator
+	levels [][]opCount // per sender: the fused chain's per-level counts
+	fold   []opCount   // per sender: records entering the accumulators (in) and combiner invocations (calls)
+}
+
+// totals sums the senders' tallies: the records that entered the combining
+// accumulators (the Reduce's logical input) and the combiner invocations.
+func (c *combiner) totals() (in, calls int) {
+	for _, f := range c.fold {
+		in += f.in
+		calls += f.calls
+	}
+	return in, calls
 }
 
 // isCombinableReduce reports whether the engine may run this Reduce through
-// the combining sender loop: a KindReduce annotated Combinable by the
-// physical optimizer, shuffled via ShipPartition, with a combiner attached.
+// the combining senders: a KindReduce annotated Combinable by the physical
+// optimizer, shuffled via ShipPartition, with a combiner attached.
 // Handcrafted plans without the annotation — and engines running the legacy
 // record-at-a-time shuffle, which has no batch to combine — keep the plain
-// path, exactly like Chained.
+// sender, exactly like Chained.
 func (e *Engine) isCombinableReduce(p *optimizer.PhysPlan) bool {
 	return !e.LegacyShuffle && p.Combinable &&
 		p.Op.Kind == dataflow.KindReduce && p.Op.Combiner != nil &&
 		len(p.Inputs) == 1 && len(p.Ship) == 1 && p.Ship[0] == optimizer.ShipPartition
 }
 
-// execCombinedReduce executes a combinable Reduce — together with the
-// maximal run of chained Maps feeding it — through the fused sender loop:
-// every sender pushes each base record through the Map chain, hash-routes
-// the chain's outputs into per-target batches, and applies the combiner to
-// each batch before flushing it (Map → combine → ship in one pass, no
-// intermediate partitions). Each sender therefore ships at most one record
-// per (group key, target) per flush window. The final aggregation then runs
-// the plan's local grouping strategy over the combined partitions, exactly
-// as the uncombined path would.
-func (e *Engine) execCombinedReduce(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats) (Partitioned, error) {
-	op := p.Op
-	keys := op.Keys[0]
-
-	chain, node := chainBelow(p.Inputs[0])
-	base, err := e.exec(ctx, node, stats)
-	if err != nil {
-		return nil, err
-	}
-
-	tr := e.Trace
-	opSpan := tr.Begin(e.TraceParent, op.Name, obs.KindOp)
-	combSpan := tr.Begin(opSpan, "combine-ship", obs.KindCombine)
-	e.curShip = combSpan
-
-	shipStart := time.Now()
-	shuffled, spills, counts, bytes, err := e.combineShuffle(ctx, base, chain, op, keys)
-	e.curShip = 0
-	if err != nil {
-		tr.Fail(combSpan, err)
-		tr.Fail(opSpan, err)
-		return nil, err
-	}
-	defer closeSpills(spills)
-	if e.NetBandwidth > 0 && bytes > 0 {
-		want := time.Duration(float64(bytes) / e.NetBandwidth * float64(time.Second))
-		netDelay(ctx, want-time.Since(shipStart))
-	}
-	shipElapsed := time.Since(shipStart)
-	var combinerCalls int
-	for si := range counts {
-		combinerCalls += counts[si].combinerCalls
-	}
-	tr.EndWith(combSpan, func(s *obs.Span) {
-		s.Bytes = int64(bytes)
-		s.Calls = int64(combinerCalls)
-	})
-	e.foldSpillSpans(opSpan, spills)
-
-	localSpan := tr.Begin(opSpan, "local", obs.KindLocal)
-	localStart := time.Now()
-	var out Partitioned
-	var calls int
-	if spills != nil {
-		// Memory-budgeted run: receivers may have spilled sorted runs of
-		// already-combined records; the final aggregation merges them
-		// externally (same canonical group order as the in-memory path).
-		out, calls, err = e.localReduceSpilled(ctx, p, shuffled, spills)
-	} else {
-		out, calls, err = e.local(ctx, p, []Partitioned{shuffled})
-	}
-	if err != nil {
-		tr.Fail(localSpan, err)
-		tr.Fail(opSpan, err)
-		return nil, err
-	}
-	localElapsed := time.Since(localStart)
-
-	// Exact per-operator statistics across the fused run. Record counts and
-	// UDF calls are tallied per sender and summed; the fused send's wall
-	// time is attributed evenly across the chain's Maps (their LocalTime)
-	// with the remainder on the Reduce's ShipTime, mirroring execChain's
-	// attribution rule.
-	share := shipElapsed / time.Duration(len(chain)+1)
-	spanAt := shipStart
-	for level, cp := range chain {
-		st := OpStats{Name: cp.Op.Name, LocalTime: share}
-		for si := range counts {
-			st.InRecords += counts[si].chain[level].in
-			st.OutRecords += counts[si].chain[level].out
-			st.UDFCalls += counts[si].chain[level].calls
-		}
-		stats.PerOp = append(stats.PerOp, st)
-		// The chained Maps fused into the combining senders get share-tiled
-		// spans over the ship window, mirroring the LocalTime attribution.
-		if tr != nil {
-			tr.Import(e.TraceParent, obs.Span{
-				Name:    cp.Op.Name,
-				Kind:    obs.KindOp,
-				Start:   spanAt,
-				End:     spanAt.Add(share),
-				Records: int64(st.OutRecords),
-				Calls:   int64(st.UDFCalls),
-				Detail:  "fused into combining senders",
-			})
-			spanAt = spanAt.Add(share)
-		}
-	}
-	st := OpStats{
-		Name: op.Name, ShippedBytes: bytes, UDFCalls: calls,
-		OutRecords: out.Records(),
-		ShipTime:   shipElapsed - share*time.Duration(len(chain)),
-		LocalTime:  localElapsed,
-	}
-	for si := range counts {
-		st.InRecords += counts[si].combineIn
-		st.CombinerCalls += counts[si].combinerCalls
-	}
-	for _, sp := range spills {
-		if sp != nil {
-			st.SpilledBytes += sp.bytes
-			st.SpillRuns += len(sp.runs)
-		}
-	}
-	e.observeShip(&st)
-	e.mergeSpan(localSpan, localStart, &st)
-	tr.EndWith(localSpan, func(s *obs.Span) { s.Calls = int64(calls) })
-	tr.EndWith(opSpan, func(s *obs.Span) {
-		s.Records = int64(st.OutRecords)
-		s.Bytes = int64(bytes)
-		s.Calls = int64(st.CombinerCalls)
-		s.Runs = int64(st.SpillRuns)
-	})
-	stats.PerOp = append(stats.PerOp, st)
-	return out, nil
-}
-
-// combineShuffle is the combining variant of shuffle: same transport
-// topology (one sender per source partition, one collector per target), but
-// each sender runs the fused Map chain and partially aggregates every
-// per-target batch before flushing it. With no memory budget the collectors
-// are the plain shuffleCollect — a combined batch needs no special handling
-// on the receiving side. Under a budget the collectors are the
-// spill-tracking spillCollect, so combining and spilling compose: senders
-// shrink the stream first, receivers spill only what still overflows, and
-// every spilled run consists of already partially aggregated records. The
-// returned spills slice is nil when no budget is set.
-func (e *Engine) combineShuffle(ctx context.Context, in Partitioned, chain []*optimizer.PhysPlan, op *dataflow.Operator, keys []int) (Partitioned, []*partitionSpill, []combineCounts, int, error) {
-	dop := e.DOP
-	sh, err := e.transport().OpenShuffle(ctx, transport.Spec{Senders: len(in), Targets: dop})
-	if err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("engine: combining shuffle: %w", err)
-	}
-	stop := context.AfterFunc(ctx, func() { sh.Close() })
-	defer stop()
-	defer sh.Close()
-	var wireStart time.Time
-	if e.Trace != nil {
-		wireStart = time.Now()
-		// Per-worker transport spans nest under the caller's combine-ship
-		// span; fold once the senders and collectors have drained.
-		defer func() { e.foldWireSpans(e.shipParent(), sh, wireStart) }()
-	}
-	st := &shuffleState{sh: sh, sendErrs: make([]error, len(in)), recvErrs: make([]error, dop)}
-	st.senders.Add(len(in))
-	st.collectors.Add(dop)
-	counts := make([]combineCounts, len(in))
-	acc := make([]*record.ColBatch, len(in)*dop)
-	for si, part := range in {
-		counts[si].chain = make([]opCount, len(chain))
-		go e.combineSendCols(ctx, st, acc[si*dop:(si+1)*dop], part, chain, op, keys, &counts[si], &st.sendErrs[si])
-	}
-	// Combined partition sizes depend on the key distribution, unknowable
-	// here; start small and let append growth track the actual volume.
-	out := make(Partitioned, dop)
-	var spills []*partitionSpill
-	if e.MemoryBudget > 0 {
-		spills = make([]*partitionSpill, dop)
-		budget := e.MemoryBudget / dop
-		for i := 0; i < dop; i++ {
-			spills[i] = &partitionSpill{}
-			go e.spillCollect(ctx, st, out, spills[i], i, keys, budget)
-		}
-	} else {
-		for i := 0; i < dop; i++ {
-			go shuffleCollect(st, out, i, 64)
-		}
-	}
-	st.senders.Wait()
-	st.collectors.Wait()
-	if err := context.Cause(ctx); err != nil {
-		closeSpills(spills)
-		return nil, nil, nil, 0, err
-	}
-	if err := st.firstErr(); err != nil {
-		closeSpills(spills)
-		return nil, nil, nil, 0, err
-	}
-	for _, sp := range spills {
-		if sp.err != nil {
-			closeSpills(spills)
-			return nil, nil, nil, 0, sp.err
-		}
-	}
-	return out, spills, counts, int(st.bytes.Load()), nil
-}
-
-// combineSendCols is the columnar combining sender: records accumulate into
-// per-target ColBatches — typed column arrays with dictionary-coded
-// strings — and the routing hash is computed once and cached per row, so
-// the grouping pass inside CombineInto never re-hashes. The combined output
+// combineSendCols is the combining sender: every base record runs through
+// the fused Map chain, and the chain's outputs accumulate into per-target
+// ColBatches — typed column arrays with dictionary-coded strings — with the
+// routing hash computed once and cached per row, so the grouping pass
+// inside CombineInto never re-hashes. Each sender therefore ships at most
+// one record per (group key, target) per flush window. The combined output
 // is flushed into a fresh pooled record.Batch and handed to the transport
-// session, keeping the collectors identical to the plain shuffle's.
-func (e *Engine) combineSendCols(ctx context.Context, st *shuffleState, acc []*record.ColBatch, part []record.Record, chain []*optimizer.PhysPlan, op *dataflow.Operator, keys []int, c *combineCounts, errOut *error) {
+// session, so the collectors are the same as for uncombined records, and
+// under a budget every spilled run consists of already partially
+// aggregated records.
+func (e *Engine) combineSendCols(ctx context.Context, st *shuffleState, si int, acc []*record.ColBatch, part []record.Record, comb *combiner) {
 	defer st.senders.Done()
 	defer st.sh.SenderDone()
 	dop := uint64(len(st.recvErrs))
+	keys, fold := st.keys, &comb.fold[si]
 	local := 0
 	defer func() { st.bytes.Add(int64(local)) }()
 
 	flush := func(t int, cb *record.ColBatch) error {
 		out := record.GetBatch()
 		calls, err := cb.CombineInto(keys, out, func(g record.ColGroup) ([]record.Record, error) {
-			return e.interp.InvokeReduceSource(op.Combiner, g)
+			return e.interp.InvokeReduceSource(comb.op.Combiner, g)
 		})
 		record.PutColBatch(cb)
 		if err != nil {
 			record.PutBatch(out)
-			return fmt.Errorf("engine: %s combiner: %w", op.Name, err)
+			return fmt.Errorf("engine: %s combiner: %w", comb.op.Name, err)
 		}
-		c.combinerCalls += calls
+		fold.calls += calls
 		local += out.EncodedSize()
 		return st.sh.Send(t, out)
 	}
 	route := func(r record.Record) error {
-		c.combineIn++
+		fold.in++
 		h := r.Hash(keys)
 		t := int(h % dop)
 		cb := acc[t]
@@ -277,10 +94,10 @@ func (e *Engine) combineSendCols(ctx context.Context, st *shuffleState, acc []*r
 		return nil
 	}
 	fail := func(err error) {
-		*errOut = err
+		st.sendErrs[si] = err
 		dropColBatches(acc)
 	}
-	feed, err := e.chainFeed(chain, c.chain, route)
+	feed, err := e.chainFeed(comb.chain, comb.levels[si], route)
 	if err != nil {
 		fail(err)
 		return

@@ -34,6 +34,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +46,7 @@ import (
 	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
+	"blackboxflow/internal/spill"
 	"blackboxflow/internal/tac"
 	"blackboxflow/internal/transport"
 )
@@ -251,12 +254,6 @@ type Engine struct {
 	// resets); nil disables observation.
 	Hists *obs.EngineHists
 
-	// curShip is the op-level ship span open while exec ships an
-	// operator's inputs, so shuffle sessions nest their spans under it.
-	// Only the exec goroutine touches it (plan execution is sequential;
-	// parallelism lives inside the ship/local phases).
-	curShip obs.SpanID
-
 	// NetBandwidth simulates a cluster interconnect: when positive, every
 	// non-forward shipping step takes at least shippedBytes/NetBandwidth
 	// seconds of wall time. The paper's evaluation ran on 1 GbE, where
@@ -363,6 +360,13 @@ func (e *Engine) RunContext(ctx context.Context, plan *optimizer.PhysPlan) (reco
 	return out.Flatten(), stats, nil
 }
 
+// exec runs one plan node through the engine's single operator frame:
+// execute the inputs, ship each one (forward, broadcast, the legacy
+// baseline, or one call to the shuffle executor), throttle, record the ship
+// phase, then run the local strategy. Chained Maps are the one exception —
+// they fuse into their producer's loop (execChain) — and a combinable
+// Reduce runs the same frame with its fused Map chain and combiner moved
+// into the shuffle's senders.
 func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats) (Partitioned, error) {
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
@@ -373,24 +377,20 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 		return e.execChain(ctx, p, stats)
 	}
 
-	// A combinable Reduce — together with any maximal chain of fused Maps
-	// feeding it — executes through the combining sender loop: Map →
-	// combine → ship in one pass, no intermediate partitions.
+	// Execute inputs first (post-order). A combinable Reduce executes only
+	// the base below the maximal chain of Maps feeding it: the chain runs
+	// inside the combining senders (Map → combine → ship in one pass, no
+	// intermediate partitions).
+	op := p.Op
+	nodes := p.Inputs
+	var comb *combiner
 	if e.isCombinableReduce(p) {
-		return e.execCombinedReduce(ctx, p, stats)
+		chain, base := chainBelow(p.Inputs[0])
+		comb = &combiner{chain: chain, op: op}
+		nodes = []*optimizer.PhysPlan{base}
 	}
-
-	// A memory-budgeted shuffled grouping or join (Reduce, CoGroup, Match)
-	// runs through the spill-capable receivers: resident bytes are tracked
-	// per partition and overflow is sorted and spilled to disk (see
-	// spill_exec.go, join_spill.go).
-	if e.spillEligible(p) {
-		return e.execSpillGrouped(ctx, p, stats)
-	}
-
-	// Execute inputs first (post-order).
-	inputs := make([]Partitioned, len(p.Inputs))
-	for i, in := range p.Inputs {
+	inputs := make([]Partitioned, len(nodes))
+	for i, in := range nodes {
 		d, err := e.exec(ctx, in, stats)
 		if err != nil {
 			return nil, err
@@ -398,7 +398,6 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 		inputs[i] = d
 	}
 
-	op := p.Op
 	st := OpStats{Name: op.Name}
 	for _, in := range inputs {
 		st.InRecords += in.Records()
@@ -406,95 +405,131 @@ func (e *Engine) exec(ctx context.Context, p *optimizer.PhysPlan, stats *RunStat
 
 	tr := e.Trace
 	opSpan := tr.Begin(e.TraceParent, op.Name, obs.KindOp)
+	fail := func(phase obs.SpanID, err error) (Partitioned, error) {
+		if phase != 0 { // 0 is the trace root: no phase span was opened
+			tr.Fail(phase, err)
+		}
+		tr.Fail(opSpan, err)
+		return nil, err
+	}
 
-	// Ship each input according to the plan's strategy. The op-level ship
-	// span only opens when some input actually moves (non-forward), so
-	// source/forward operators don't accrete empty phase spans.
-	shipNeeded := false
-	for i := range inputs {
-		if i < len(p.Ship) && p.Ship[i] != optimizer.ShipForward {
-			shipNeeded = true
-			break
-		}
-	}
+	// The ship phase span only opens when some input actually moves
+	// (non-forward), so source/forward operators don't accrete empty phase
+	// spans.
+	ships := p.Ship[:min(len(p.Ship), len(inputs))]
 	var shipSpan obs.SpanID
-	if shipNeeded {
-		shipSpan = tr.Begin(opSpan, "ship", obs.KindShip)
-		e.curShip = shipSpan
-	}
-	shipStart := time.Now()
-	for i := range inputs {
-		if i >= len(p.Ship) {
-			break
+	if slices.ContainsFunc(ships, func(s optimizer.Shipping) bool { return s != optimizer.ShipForward }) {
+		if comb != nil {
+			shipSpan = tr.Begin(opSpan, "combine-ship", obs.KindCombine)
+		} else {
+			shipSpan = tr.Begin(opSpan, "ship", obs.KindShip)
 		}
+	}
+	budget := e.partitionBudget(p)
+	spills := make([][]partitionSpill, len(inputs))
+	defer func() {
+		for _, sps := range spills {
+			closeSpills(sps)
+		}
+	}()
+	shipStart := time.Now()
+	for i, s := range ships {
 		var keys []int
 		if i < len(op.Keys) {
 			keys = op.Keys[i]
 		}
-		shipped, bytes, err := e.ship(ctx, inputs[i], p.Ship[i], keys)
-		st.ShippedBytes += bytes
+		sh, err := e.ship(ctx, shipSpan, inputs[i], s, keys, budget, comb)
+		st.ShippedBytes += sh.bytes
 		if err != nil {
-			e.curShip = 0
-			if shipNeeded {
-				tr.Fail(shipSpan, err)
-			}
-			tr.Fail(opSpan, err)
-			return nil, err
+			return fail(shipSpan, err)
 		}
-		inputs[i] = shipped
+		inputs[i], spills[i] = sh.parts, sh.spills
 	}
-	e.curShip = 0
-	// A cancelled shuffle returns partial partitions; discard them rather
+	// A cancelled ship may return partial partitions; discard them rather
 	// than let a truncated input masquerade as the operator's real input.
 	if err := context.Cause(ctx); err != nil {
-		if shipNeeded {
-			tr.Fail(shipSpan, err)
-		}
-		tr.Fail(opSpan, err)
-		return nil, err
+		return fail(shipSpan, err)
 	}
 	if e.NetBandwidth > 0 && st.ShippedBytes > 0 {
 		want := time.Duration(float64(st.ShippedBytes) / e.NetBandwidth * float64(time.Second))
 		netDelay(ctx, want-time.Since(shipStart))
 	}
-	st.ShipTime = time.Since(shipStart)
-	if shipNeeded {
-		tr.EndWith(shipSpan, func(s *obs.Span) { s.Bytes = int64(st.ShippedBytes) })
+	// A fused chain's Maps and the Reduce split the combining ship's wall
+	// time evenly (execChain's attribution rule); the Reduce keeps the
+	// remainder as its ShipTime. Without a chain the share is all of it.
+	shipElapsed := time.Since(shipStart)
+	var chain []*optimizer.PhysPlan
+	if comb != nil {
+		chain = comb.chain
+		st.InRecords, st.CombinerCalls = comb.totals()
+	}
+	share := shipElapsed / time.Duration(len(chain)+1)
+	st.ShipTime = shipElapsed - share*time.Duration(len(chain))
+	for _, sps := range spills {
+		for i := range sps {
+			st.SpilledBytes += sps[i].bytes
+			st.SpillRuns += len(sps[i].runs)
+		}
+	}
+	if shipSpan != 0 {
+		tr.EndWith(shipSpan, func(s *obs.Span) {
+			s.Bytes = int64(st.ShippedBytes)
+			s.Calls = int64(st.CombinerCalls)
+		})
 	}
 	e.observeShip(&st)
+	for _, sps := range spills {
+		e.foldSpillSpans(opSpan, sps)
+	}
 
 	localSpan := tr.Begin(opSpan, "local", obs.KindLocal)
 	localStart := time.Now()
-	out, calls, err := e.local(ctx, p, inputs)
+	out, calls, err := e.local(ctx, p, inputs, spills)
 	if err != nil {
-		tr.Fail(localSpan, err)
-		tr.Fail(opSpan, err)
-		return nil, err
+		return fail(localSpan, err)
 	}
 	st.LocalTime = time.Since(localStart)
 	st.UDFCalls = calls
 	st.OutRecords = out.Records()
+	e.mergeSpan(localSpan, localStart, &st)
 	tr.EndWith(localSpan, func(s *obs.Span) { s.Calls = int64(calls) })
+	if comb != nil {
+		e.recordChain(chain, comb.levels, shipStart, share, "fused into combining senders", stats)
+	}
 	tr.EndWith(opSpan, func(s *obs.Span) {
 		s.Records = int64(st.OutRecords)
 		s.Bytes = int64(st.ShippedBytes)
+		s.Calls = int64(st.CombinerCalls)
+		s.Runs = int64(st.SpillRuns)
 	})
 	stats.PerOp = append(stats.PerOp, st)
 	return out, nil
 }
 
-// ship moves a partitioned data set according to the shipping strategy,
-// returning the reshaped data and the number of bytes that crossed the
-// network seam. Partitioning and broadcasting move records through the
-// engine's transport; forwarding is the identity. The byte count is
-// meaningful even alongside an error (partial transfers count what they
-// accounted before failing).
-func (e *Engine) ship(ctx context.Context, in Partitioned, s optimizer.Shipping, keys []int) (Partitioned, int, error) {
+// shipped is one input after its shipping step: the reshaped partitions,
+// the bytes that crossed the network seam, and — after a shuffle — every
+// target partition's spill state (no runs when the partition stayed
+// resident). The spill files belong to the caller until closeSpills.
+type shipped struct {
+	parts  Partitioned
+	spills []partitionSpill
+	bytes  int
+}
+
+// ship moves a partitioned data set according to the shipping strategy.
+// Partitioning is one call to the shuffle executor (or the retained legacy
+// baseline — the single place that branch lives); broadcasting replicates
+// through the engine's transport; forwarding is the identity. The byte
+// count is meaningful even alongside an error (partial transfers count
+// what they accounted before failing).
+func (e *Engine) ship(ctx context.Context, parent obs.SpanID, in Partitioned, s optimizer.Shipping, keys []int, budget int, comb *combiner) (shipped, error) {
 	switch s {
-	case optimizer.ShipForward:
-		return in, 0, nil
 	case optimizer.ShipPartition:
-		return e.shuffleDispatch(ctx, in, keys)
+		if e.LegacyShuffle {
+			out, bytes := e.shuffleRecordAtATime(in, keys)
+			return shipped{parts: out, bytes: bytes}, nil
+		}
+		return e.shuffle(ctx, parent, in, keys, budget, comb)
 	case optimizer.ShipBroadcast:
 		// Every partition gets its own copy of the record headers (the
 		// records themselves are immutable by engine convention). Handing the
@@ -505,56 +540,57 @@ func (e *Engine) ship(ctx context.Context, in Partitioned, s optimizer.Shipping,
 		// account the full wire size once per copy.
 		copies, bytes, err := e.transport().Broadcast(ctx, in.Flatten(), e.DOP)
 		if err != nil {
-			return nil, bytes, fmt.Errorf("engine: broadcast: %w", err)
+			return shipped{bytes: bytes}, fmt.Errorf("engine: broadcast: %w", err)
 		}
-		return Partitioned(copies), bytes, nil
+		return shipped{parts: Partitioned(copies), bytes: bytes}, nil
 	default:
-		return in, 0, nil
+		return shipped{parts: in}, nil
 	}
 }
 
 // Shuffle hash-partitions a partitioned data set by the key fields into
 // e.DOP partitions and returns the reshaped data plus the number of bytes
 // that crossed the network seam. It is the primitive behind ShipPartition,
-// exposed so tests and benchmarks can drive it directly.
+// exposed so tests and benchmarks can drive it directly; its receivers are
+// unbounded, so it never spills.
 func (e *Engine) Shuffle(in Partitioned, keys []int) (Partitioned, int, error) {
-	return e.shuffleDispatch(context.Background(), in, keys)
+	sh, err := e.ship(context.Background(), e.TraceParent, in, optimizer.ShipPartition, keys, unbounded, nil)
+	return sh.parts, sh.bytes, err
 }
 
-// shuffleDispatch routes a partition shuffle to the transport-backed or the
-// retained legacy executor — the single place that branch lives.
-func (e *Engine) shuffleDispatch(ctx context.Context, in Partitioned, keys []int) (Partitioned, int, error) {
-	if e.LegacyShuffle {
-		out, bytes := e.shuffleRecordAtATime(in, keys)
-		return out, bytes, nil
-	}
-	return e.shuffle(ctx, in, keys)
-}
+// unbounded is the per-partition budget of receivers that may keep their
+// whole partition resident: collect never exceeds it, so it never spills.
+const unbounded = math.MaxInt
 
-// shuffle hash-partitions records by the key fields over the engine's
-// transport (one sender goroutine per source partition, one collector per
-// target).
+// shuffle is the engine's one shuffle executor: it hash-partitions records
+// by the key fields over the engine's transport, one sender goroutine per
+// source partition and one collector per target, and nests a "shuffle"
+// span (with per-worker transport spans) under parent. Two inputs vary:
 //
-// Records move in record.Batch units rather than one at a time: each sender
-// accumulates a per-target batch and hands it to the transport session when
-// full (record.DefaultBatchCap records), which amortizes per-transfer
-// synchronization across ~1k records. Batches are sync.Pool-recycled, and
-// each batch carries its running encoded size, so byte accounting needs no
-// second pass over the records — and happens engine-side before Send, so
-// ShippedBytes is identical whichever transport carries the batch. See
-// DESIGN.md. The senders and collectors are top-level functions taking
-// explicit arguments (not closures), keeping the fixed allocation cost of
-// a shuffle to the session and the output partitions themselves.
+//   - the sender: with comb nil, shuffleSend routes the records as they
+//     are; otherwise combineSendCols runs comb's fused Map chain and
+//     partially aggregates every per-target batch before flushing it.
+//   - the per-partition budget (see partitionBudget): collect tracks
+//     resident bytes against it and sorts-and-spills overflow as a run;
+//     unbounded receivers never spill.
 //
-// Cancellation: the senders poll the context and stop routing, and a
-// context.AfterFunc closes the session so a sender or collector blocked
-// inside the transport (a full socket, a dead peer) is unblocked with an
-// error instead of hanging. The caller discards partial output either way.
-func (e *Engine) shuffle(ctx context.Context, in Partitioned, keys []int) (Partitioned, int, error) {
+// Records move in batch units rather than one at a time, which amortizes
+// per-transfer synchronization across ~1k records. Batches are
+// sync.Pool-recycled and carry their running encoded size, so byte
+// accounting needs no second pass over the records — and happens
+// engine-side before Send, so the shipped bytes are identical whichever
+// transport carries the batch. See DESIGN.md.
+//
+// Cancellation: the senders poll the context and stop routing, the
+// collectors stop buffering, and a context.AfterFunc closes the session so
+// a sender or collector blocked inside the transport (a full socket, a dead
+// peer) is unblocked with an error instead of hanging. On any error the
+// executor unlinks the partial spill files and returns no partitions.
+func (e *Engine) shuffle(ctx context.Context, parent obs.SpanID, in Partitioned, keys []int, budget int, comb *combiner) (shipped, error) {
 	dop := e.DOP
 	sh, err := e.transport().OpenShuffle(ctx, transport.Spec{Senders: len(in), Targets: dop})
 	if err != nil {
-		return nil, 0, fmt.Errorf("engine: shuffle: %w", err)
+		return shipped{}, fmt.Errorf("engine: shuffle: %w", err)
 	}
 	stop := context.AfterFunc(ctx, func() { sh.Close() })
 	defer stop()
@@ -563,23 +599,39 @@ func (e *Engine) shuffle(ctx context.Context, in Partitioned, keys []int) (Parti
 	var spanStart time.Time
 	if e.Trace != nil {
 		spanStart = time.Now()
-		span = e.Trace.Begin(e.shipParent(), "shuffle", obs.KindShip)
+		span = e.Trace.Begin(parent, "shuffle", obs.KindShip)
 	}
-	st := &shuffleState{sh: sh, sendErrs: make([]error, len(in)), recvErrs: make([]error, dop)}
+	st := &shuffleState{sh: sh, keys: keys, sendErrs: make([]error, len(in)), recvErrs: make([]error, dop)}
 	st.senders.Add(len(in))
 	st.collectors.Add(dop)
 	// One flat accumulator array for all senders; sender si owns the
-	// per-target window acc[si*dop : (si+1)*dop].
-	acc := make([]*record.Batch, len(in)*dop)
-	for si, part := range in {
-		go shuffleSend(ctx, st, si, acc[si*dop:(si+1)*dop], part, keys)
+	// per-target window [si*dop, (si+1)*dop).
+	sizeHint := 0
+	if comb == nil {
+		acc := make([]*record.Batch, len(in)*dop)
+		for si, part := range in {
+			go shuffleSend(ctx, st, si, acc[si*dop:(si+1)*dop], part)
+		}
+		// Pre-size each unbounded output partition for a near-uniform key
+		// distribution; skewed keys just fall back to append growth. A
+		// bounded receiver holds at most its budget, and a combined stream's
+		// size depends on the key distribution, so those start empty.
+		if budget == unbounded {
+			sizeHint = in.Records()/dop + in.Records()/(8*dop) + 16
+		}
+	} else {
+		comb.levels = make([][]opCount, len(in))
+		comb.fold = make([]opCount, len(in))
+		acc := make([]*record.ColBatch, len(in)*dop)
+		for si, part := range in {
+			comb.levels[si] = make([]opCount, len(comb.chain))
+			go e.combineSendCols(ctx, st, si, acc[si*dop:(si+1)*dop], part, comb)
+		}
 	}
-	// Pre-size each output partition for a near-uniform key distribution;
-	// skewed keys just fall back to append growth.
-	sizeHint := in.Records()/dop + in.Records()/(8*dop) + 16
 	out := make(Partitioned, dop)
-	for i := 0; i < dop; i++ {
-		go shuffleCollect(st, out, i, sizeHint)
+	spills := make([]partitionSpill, dop)
+	for i := range dop {
+		go e.collect(ctx, st, out, &spills[i], i, budget, sizeHint)
 	}
 	st.senders.Wait()
 	st.collectors.Wait()
@@ -587,11 +639,15 @@ func (e *Engine) shuffle(ctx context.Context, in Partitioned, keys []int) (Parti
 	if e.Trace != nil {
 		e.foldWireSpans(span, sh, spanStart)
 	}
-	if err := st.firstErr(); err != nil {
-		if e.Trace != nil {
-			e.Trace.Fail(span, err)
+	if err := st.firstErr(spills); err != nil {
+		closeSpills(spills)
+		if cause := context.Cause(ctx); cause != nil {
+			err = cause
+		} else {
+			err = fmt.Errorf("engine: shuffle: %w", err)
 		}
-		return nil, bytes, fmt.Errorf("engine: shuffle: %w", err)
+		e.Trace.Fail(span, err)
+		return shipped{bytes: bytes}, err
 	}
 	if e.Trace != nil {
 		e.Trace.EndWith(span, func(s *obs.Span) {
@@ -599,13 +655,14 @@ func (e *Engine) shuffle(ctx context.Context, in Partitioned, keys []int) (Parti
 			s.Records = int64(in.Records())
 		})
 	}
-	return out, bytes, nil
+	return shipped{parts: out, spills: spills, bytes: bytes}, nil
 }
 
 // shuffleState is the shared coordination state of one shuffle execution,
 // allocated once so sender and collector goroutines share a single object.
 type shuffleState struct {
 	sh         transport.Shuffle
+	keys       []int
 	senders    sync.WaitGroup
 	collectors sync.WaitGroup
 	bytes      atomic.Int64
@@ -613,9 +670,9 @@ type shuffleState struct {
 	recvErrs   []error // one slot per target, written before collectors.Done
 }
 
-// firstErr returns the first sender or collector error after both wait
-// groups have drained.
-func (st *shuffleState) firstErr() error {
+// firstErr returns the first sender, collector or spill error after both
+// wait groups have drained.
+func (st *shuffleState) firstErr(spills []partitionSpill) error {
 	for _, err := range st.sendErrs {
 		if err != nil {
 			return err
@@ -624,6 +681,11 @@ func (st *shuffleState) firstErr() error {
 	for _, err := range st.recvErrs {
 		if err != nil {
 			return err
+		}
+	}
+	for i := range spills {
+		if spills[i].err != nil {
+			return spills[i].err
 		}
 	}
 	return nil
@@ -637,7 +699,7 @@ func (st *shuffleState) firstErr() error {
 // deadlock the session — the caller detects the cancelled context and
 // discards the partial output. A Send error is terminal for the sender: it
 // records the error and lets SenderDone (deferred) terminate its streams.
-func shuffleSend(ctx context.Context, st *shuffleState, si int, acc []*record.Batch, part []record.Record, keys []int) {
+func shuffleSend(ctx context.Context, st *shuffleState, si int, acc []*record.Batch, part []record.Record) {
 	defer st.senders.Done()
 	defer st.sh.SenderDone()
 	local := 0
@@ -649,7 +711,7 @@ func shuffleSend(ctx context.Context, st *shuffleState, si int, acc []*record.Ba
 			dropBatches(acc)
 			return
 		}
-		t := int(r.Hash(keys) % dop)
+		t := int(r.Hash(st.keys) % dop)
 		b := acc[t]
 		if b == nil {
 			b = record.GetBatch()
@@ -705,24 +767,86 @@ func netDelay(ctx context.Context, d time.Duration) {
 	}
 }
 
-// shuffleCollect drains one target partition's stream from the transport
-// session, appending batch contents into the output and recycling the
-// batches. A Recv error is terminal for the stream (the transport
-// guarantees no more data follows), so the collector records it and exits.
-func shuffleCollect(st *shuffleState, out Partitioned, i, sizeHint int) {
+// collect is the shuffle's one collector: it drains target partition i's
+// stream from the transport session into the output (pre-sized to sizeHint
+// records), recycling the batches, and tracks the buffer's resident bytes
+// (wire encoding, the unit MemoryBudget is expressed in). When they exceed
+// the per-partition budget it sorts the buffer by key and writes it to the
+// partition's spill file as one run; an unbounded budget never spills.
+//
+// The budget is floored at one batch's worth (the largest batch the
+// collector has buffered so far): the integer division splitting
+// MemoryBudget across DOP×inputs truncates a tiny budget to zero, and an
+// unfloored zero share would spill every arriving batch as its own sorted
+// run — a run count proportional to the batch count and a merge cursor per
+// run, instead of the intended handful of budget-sized runs. With the
+// floor, a run always covers more than one arriving batch, so the
+// worst-case residency is about two batches' worth. The buffer's backing
+// array is reused across runs (cleared first, so the truncated tail does
+// not pin the spilled records against GC — the resident-bytes bound must
+// count live records only).
+//
+// On a disk error or cancellation the collector keeps draining (senders
+// must never block) but discards the drained records — the run is doomed
+// and buffering its remainder would grow residency without bound in exactly
+// the memory-constrained setting spilling exists for; the error surfaces
+// from the executor. A Recv error is different: it is terminal for the stream
+// (the transport guarantees no more data follows, and any blocked sender is
+// failed by the same transport error, not unblocked by this collector), so
+// the collector records it and exits.
+func (e *Engine) collect(ctx context.Context, st *shuffleState, out Partitioned, sp *partitionSpill, i, budget, sizeHint int) {
 	defer st.collectors.Done()
 	buf := make([]record.Record, 0, sizeHint)
+	resident := 0
+	maxBatch := 0
 	for {
-		b, err := st.sh.Recv(i)
-		if err != nil {
-			st.recvErrs[i] = err
+		b, recvErr := st.sh.Recv(i)
+		if recvErr != nil {
+			st.recvErrs[i] = recvErr
 			break
 		}
 		if b == nil {
 			break
 		}
+		// One cancellation check per ~1k-record batch is cheap.
+		if sp.err == nil {
+			sp.err = context.Cause(ctx)
+		}
+		if sp.err != nil {
+			record.PutBatch(b)
+			continue
+		}
 		buf = append(buf, b.Records()...)
+		resident += b.EncodedSize()
+		maxBatch = max(maxBatch, b.EncodedSize())
 		record.PutBatch(b)
+		if resident <= max(budget, maxBatch) || len(buf) == 0 {
+			continue
+		}
+		writeAt := time.Now()
+		if sp.writeStart.IsZero() {
+			sp.writeStart = writeAt
+		}
+		e.sortRecs(buf, st.keys)
+		if sp.file == nil {
+			if sp.file, sp.err = spill.CreateIn(e.fs(), e.SpillDir); sp.err != nil {
+				continue
+			}
+		}
+		run, err := sp.file.WriteRun(buf)
+		if err != nil {
+			sp.err = err
+			continue
+		}
+		sp.runs = append(sp.runs, run)
+		sp.bytes += int(run.Length)
+		sp.writeDur += time.Since(writeAt)
+		if e.Hists != nil {
+			e.Hists.SpillRunBytes.Observe(float64(run.Length))
+		}
+		clear(buf)
+		buf = buf[:0]
+		resident = 0
 	}
 	out[i] = buf
 }
@@ -739,8 +863,9 @@ func isChainable(p *optimizer.PhysPlan) bool {
 // chainBelow collects the maximal run of chained Map plan nodes starting at
 // p (walking producer-wards while isChainable holds) and returns the run in
 // execution (producer-first) order together with the pipeline breaker below
-// it. Both fused execution paths — execChain and execCombinedReduce — share
-// it so the notion of "maximal chain" cannot diverge.
+// it. Both fused executions — execChain and the combining senders of a
+// combinable Reduce — share it so the notion of "maximal chain" cannot
+// diverge.
 func chainBelow(p *optimizer.PhysPlan) ([]*optimizer.PhysPlan, *optimizer.PhysPlan) {
 	var chain []*optimizer.PhysPlan
 	node := p
@@ -805,59 +930,51 @@ func (e *Engine) execChain(ctx context.Context, p *optimizer.PhysPlan, stats *Ru
 		return nil, err
 	}
 
-	nOps := len(chain)
-	out := make(Partitioned, len(base))
 	counts := make([][]opCount, len(base))
-	errs := make([]error, len(base))
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range base {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := make([]opCount, nOps)
-			counts[i] = c
-			sink := func(r record.Record) error {
-				out[i] = append(out[i], r)
-				return nil
-			}
-			feed, err := e.chainFeed(chain, c, sink)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var tick ticker
-			for _, r := range base[i] {
-				if tick.due() && context.Cause(ctx) != nil {
-					errs[i] = context.Cause(ctx)
-					return
-				}
-				if errs[i] = feed(r); errs[i] != nil {
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+	out, _, err := perPartitionIdx(len(base), func(i int) ([]record.Record, int, error) {
+		counts[i] = make([]opCount, len(chain))
+		var part []record.Record
+		feed, err := e.chainFeed(chain, counts[i], func(r record.Record) error {
+			part = append(part, r)
+			return nil
+		})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		var tick ticker
+		for _, r := range base[i] {
+			if tick.due() && context.Cause(ctx) != nil {
+				return nil, 0, context.Cause(ctx)
+			}
+			if err := feed(r); err != nil {
+				return nil, 0, err
+			}
+		}
+		return part, 0, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	share := elapsed / time.Duration(nOps)
+	elapsed := time.Since(start)
+	e.recordChain(chain, counts, start, elapsed/time.Duration(len(chain)), "fused chain", stats)
+	return out, nil
+}
+
+// recordChain appends the OpStats of a fused Map chain — exact per-level
+// counts summed over the fused loop's goroutines, and one share of the
+// loop's wall time each as LocalTime — and, when tracing, one span per
+// operator: the shares tile the loop's interval from start in chain order.
+func (e *Engine) recordChain(chain []*optimizer.PhysPlan, counts [][]opCount, start time.Time, share time.Duration, detail string, stats *RunStats) {
 	spanAt := start
 	for level, cp := range chain {
 		st := OpStats{Name: cp.Op.Name, LocalTime: share}
-		for i := range counts {
-			st.InRecords += counts[i][level].in
-			st.OutRecords += counts[i][level].out
-			st.UDFCalls += counts[i][level].calls
+		for _, c := range counts {
+			st.InRecords += c[level].in
+			st.OutRecords += c[level].out
+			st.UDFCalls += c[level].calls
 		}
 		stats.PerOp = append(stats.PerOp, st)
-		// One span per fused operator: the chain's wall time is attributed
-		// evenly (the same rule as LocalTime), so the spans tile the fused
-		// loop's interval in chain order.
 		if e.Trace != nil {
 			e.Trace.Import(e.TraceParent, obs.Span{
 				Name:    cp.Op.Name,
@@ -866,16 +983,19 @@ func (e *Engine) execChain(ctx context.Context, p *optimizer.PhysPlan, stats *Ru
 				End:     spanAt.Add(share),
 				Records: int64(st.OutRecords),
 				Calls:   int64(st.UDFCalls),
-				Detail:  "fused chain",
+				Detail:  detail,
 			})
 			spanAt = spanAt.Add(share)
 		}
 	}
-	return out, nil
 }
 
 // local runs the operator's local strategy on every partition in parallel.
-func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Partitioned) (Partitioned, int, error) {
+// A partition whose shuffle receiver spilled runs executes the external
+// sort-merge variant of the strategy over its runs plus its resident
+// remainder; every other partition runs fully in memory. Both emit the
+// engine's canonical order, so the choice is invisible in the output.
+func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Partitioned, spills [][]partitionSpill) (Partitioned, int, error) {
 	op := p.Op
 	switch op.Kind {
 	case dataflow.KindSource:
@@ -889,11 +1009,12 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Part
 		return inputs[0], 0, nil
 
 	case dataflow.KindMap:
-		return e.perPartition(inputs[0], func(part []record.Record) ([]record.Record, int, error) {
+		in := inputs[0]
+		return perPartitionIdx(len(in), func(i int) ([]record.Record, int, error) {
 			var out []record.Record
 			calls := 0
 			var tick ticker
-			for _, r := range part {
+			for _, r := range in[i] {
 				if tick.due() && context.Cause(ctx) != nil {
 					return nil, 0, context.Cause(ctx)
 				}
@@ -908,23 +1029,48 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Part
 		})
 
 	case dataflow.KindReduce:
-		keys := op.Keys[0]
-		return e.perPartition(inputs[0], func(part []record.Record) ([]record.Record, int, error) {
-			return e.reducePartition(ctx, op, part, keys, p.Local == optimizer.LocalSortGroup)
+		in, keys := inputs[0], op.Keys[0]
+		return perPartitionIdx(len(in), func(i int) ([]record.Record, int, error) {
+			if sp := spilledAt(spills[0], i); sp != nil {
+				return e.reduceMerged(ctx, op, in[i], sp, keys)
+			}
+			return e.reducePartition(ctx, op, in[i], keys, p.Local == optimizer.LocalSortGroup)
 		})
 
-	case dataflow.KindMatch:
-		return e.perPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			return e.joinPartition(ctx, p, l, r)
+	case dataflow.KindMatch, dataflow.KindCoGroup:
+		l, r := inputs[0], inputs[1]
+		lKeys, rKeys := op.Keys[0], op.Keys[1]
+		return perPartitionIdx(max(len(l), len(r)), func(i int) ([]record.Record, int, error) {
+			lp, rp := partAt(l, i), partAt(r, i)
+			lsp, rsp := spilledAt(spills[0], i), spilledAt(spills[1], i)
+			if op.Kind == dataflow.KindMatch && lsp == nil && rsp == nil {
+				return e.joinPartition(ctx, p, lp, rp)
+			}
+			// A CoGroup, or a Match with a spilled side: align the two
+			// sides' ascending key-group streams, each grouped in memory or
+			// merged from its runs.
+			lc, err := e.sideGroups(lp, lsp, lKeys)
+			if err != nil {
+				return nil, 0, err
+			}
+			rc, err := e.sideGroups(rp, rsp, rKeys)
+			if err != nil {
+				return nil, 0, err
+			}
+			if op.Kind == dataflow.KindMatch {
+				return e.matchAligned(ctx, op, lc, rc, lKeys, rKeys)
+			}
+			return e.coGroupAligned(ctx, op, lc, rc, lKeys, rKeys)
 		})
 
 	case dataflow.KindCross:
-		return e.perPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
+		l, r := inputs[0], inputs[1]
+		return perPartitionIdx(max(len(l), len(r)), func(i int) ([]record.Record, int, error) {
 			var out []record.Record
 			calls := 0
 			var tick ticker
-			for _, lr := range l {
-				for _, rr := range r {
+			for _, lr := range partAt(l, i) {
+				for _, rr := range partAt(r, i) {
 					if tick.due() && context.Cause(ctx) != nil {
 						return nil, 0, context.Cause(ctx)
 					}
@@ -939,12 +1085,6 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Part
 			return out, calls, nil
 		})
 
-	case dataflow.KindCoGroup:
-		lKeys, rKeys := op.Keys[0], op.Keys[1]
-		return e.perPartition2(inputs[0], inputs[1], func(l, r []record.Record) ([]record.Record, int, error) {
-			return e.coGroupPartition(ctx, op, l, r, lKeys, rKeys)
-		})
-
 	default:
 		return nil, 0, fmt.Errorf("engine: cannot execute %s", op.Kind)
 	}
@@ -952,8 +1092,7 @@ func (e *Engine) local(ctx context.Context, p *optimizer.PhysPlan, inputs []Part
 
 // reducePartition groups one fully resident partition (canonical ascending
 // key order; see groupRecords) and applies the Reduce UDF once per group —
-// the in-memory grouping core shared by the plain local strategy and the
-// spill path's non-overflowing partitions.
+// the local phase's strategy for every partition that did not spill.
 func (e *Engine) reducePartition(ctx context.Context, op *dataflow.Operator, part []record.Record, keys []int, sortBased bool) ([]record.Record, int, error) {
 	groups := groupRecords(part, keys, sortBased)
 	var out []record.Record
@@ -983,47 +1122,39 @@ func (e *Engine) scatter(data record.DataSet) Partitioned {
 	return out
 }
 
-// perPartition applies fn to every partition concurrently.
-func (e *Engine) perPartition(in Partitioned, fn func([]record.Record) ([]record.Record, int, error)) (Partitioned, int, error) {
-	return e.perPartitionIdx(in, func(_ int, part []record.Record) ([]record.Record, int, error) {
-		return fn(part)
-	})
-}
-
-// perPartition2 applies fn pairwise to the partitions of two inputs.
-func (e *Engine) perPartition2(l, r Partitioned, fn func(l, r []record.Record) ([]record.Record, int, error)) (Partitioned, int, error) {
-	n := len(l)
-	if len(r) > n {
-		n = len(r)
-	}
+// perPartitionIdx runs fn for every partition index in [0, n) concurrently
+// and sums the UDF calls the partitions report; the first error in
+// partition order wins.
+func perPartitionIdx(n int, fn func(i int) ([]record.Record, int, error)) (Partitioned, int, error) {
 	out := make(Partitioned, n)
 	calls := make([]int, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var lp, rp []record.Record
-			if i < len(l) {
-				lp = l[i]
-			}
-			if i < len(r) {
-				rp = r[i]
-			}
-			out[i], calls[i], errs[i] = fn(lp, rp)
+			out[i], calls[i], errs[i] = fn(i)
 		}()
 	}
 	wg.Wait()
 	total := 0
-	for i := 0; i < n; i++ {
+	for i := range n {
 		if errs[i] != nil {
 			return nil, 0, errs[i]
 		}
 		total += calls[i]
 	}
 	return out, total, nil
+}
+
+// partAt returns partition i of p, or nil past its end: two-input operators
+// pair partitions by index, and one side may have fewer.
+func partAt(p Partitioned, i int) []record.Record {
+	if i < len(p) {
+		return p[i]
+	}
+	return nil
 }
 
 // joinPartition executes a Match on one partition pair with the plan's
@@ -1037,9 +1168,9 @@ func (e *Engine) perPartition2(l, r Partitioned, fn func(l, r []record.Record) (
 // merge join always had (the seed's hash join probed with exact equality,
 // the one place the engine diverged). A plan therefore produces
 // byte-identical output whichever local strategy runs it, and — because
-// the external merge join of the spill path (join_spill.go) yields the
-// same order by construction — whether or not any partition overflowed the
-// memory budget.
+// the external merge join that partitions with a spilled side run
+// (join_spill.go) yields the same order by construction — whether or not
+// any partition overflowed the memory budget.
 //
 // The in-place sort relies on the engine's partition-ownership rule: every
 // plan-node execution materializes fresh output partitions for its single
@@ -1061,17 +1192,6 @@ func (e *Engine) joinPartition(ctx context.Context, p *optimizer.PhysPlan, l, r 
 		rc = &memGroupCursor{groups: groupRecords(r, rKeys, false)}
 	}
 	return e.matchAligned(ctx, op, lc, rc, lKeys, rKeys)
-}
-
-// coGroupPartition executes a CoGroup on one partition pair: both sides are
-// grouped by their keys and the UDF is called once per key in the combined
-// key domain, in ascending key order. It is the in-memory instance of the
-// stream alignment that coGroupAligned implements; the spill path feeds the
-// same alignment from externally merged runs.
-func (e *Engine) coGroupPartition(ctx context.Context, op *dataflow.Operator, l, r []record.Record, lKeys, rKeys []int) ([]record.Record, int, error) {
-	lc := &memGroupCursor{groups: groupRecords(l, lKeys, true)}
-	rc := &memGroupCursor{groups: groupRecords(r, rKeys, true)}
-	return e.coGroupAligned(ctx, op, lc, rc, lKeys, rKeys)
 }
 
 // groupRecords groups a partition by key fields, either by sorting (one

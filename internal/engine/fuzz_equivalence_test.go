@@ -234,12 +234,52 @@ func reduce agg($g) {
 	return tinyBudgetTrial{src: src, flow: f, tree: tree, data: data}
 }
 
+// requireSameWork pins that a memory budget changes only the spill
+// counters: per operator, in execution order, a budgeted run must report
+// the same records in and out, shipped bytes, UDF calls and combiner calls
+// as the unbudgeted run.
+func requireSameWork(t *testing.T, got, want *RunStats, label string) {
+	t.Helper()
+	if len(got.PerOp) != len(want.PerOp) {
+		t.Fatalf("%s: %d operators, unbudgeted run had %d", label, len(got.PerOp), len(want.PerOp))
+	}
+	for i, w := range want.PerOp {
+		g := got.PerOp[i]
+		if g.Name != w.Name || g.InRecords != w.InRecords || g.OutRecords != w.OutRecords ||
+			g.ShippedBytes != w.ShippedBytes || g.UDFCalls != w.UDFCalls || g.CombinerCalls != w.CombinerCalls {
+			t.Fatalf("%s: operator %d is %s in=%d out=%d shipped=%d calls=%d combine=%d; unbudgeted %s in=%d out=%d shipped=%d calls=%d combine=%d",
+				label, i, g.Name, g.InRecords, g.OutRecords, g.ShippedBytes, g.UDFCalls, g.CombinerCalls,
+				w.Name, w.InRecords, w.OutRecords, w.ShippedBytes, w.UDFCalls, w.CombinerCalls)
+		}
+	}
+}
+
+// requireRoomyBudgetEquivalent runs phys under a budget far above its
+// working set — the configuration every flowserve job runs in: bounded,
+// so the receivers track resident bytes, but never reached — and requires
+// no spill, output byte-identical to the unbudgeted run, and the same
+// per-operator work.
+func requireRoomyBudgetEquivalent(t *testing.T, e *Engine, phys *optimizer.PhysPlan, unlimited record.DataSet, unlimitedStats *RunStats, label string) {
+	t.Helper()
+	e.MemoryBudget = 1 << 40
+	roomy, stats, err := e.Run(phys)
+	if err != nil {
+		t.Fatalf("%s (roomy budget): %v", label, err)
+	}
+	if stats.TotalSpillRuns() != 0 {
+		t.Fatalf("%s (roomy budget): spilled %d runs", label, stats.TotalSpillRuns())
+	}
+	requireByteIdentical(t, roomy, unlimited, label+" (roomy budget)")
+	requireSameWork(t, stats, unlimitedStats, label+" (roomy budget)")
+}
+
 // TestRandomPipelinesTinyBudgetEquivalent is the out-of-core counterpart of
 // the randomized soundness checks: random Map+Reduce pipelines, every
 // enumerated alternative, executed under an artificially tiny MemoryBudget
 // (forcing multi-run external merges on every shuffled grouping) must be
-// byte-identical to the same plan's unlimited-budget run, and bag-equal
-// across alternatives.
+// byte-identical to the same plan's unlimited-budget run, with the same
+// per-operator work, and bag-equal across alternatives. A never-reached
+// budget (1<<40) is the third configuration.
 func TestRandomPipelinesTinyBudgetEquivalent(t *testing.T) {
 	const trials = 25
 	spillDir := t.TempDir()
@@ -259,10 +299,12 @@ func TestRandomPipelinesTinyBudgetEquivalent(t *testing.T) {
 			phys := po.Optimize(a)
 
 			e.MemoryBudget = 0
-			unlimited, _, err := e.Run(phys)
+			unlimited, unlimitedStats, err := e.Run(phys)
 			if err != nil {
 				t.Fatalf("trial %d plan %s: %v", trial, a, err)
 			}
+			requireRoomyBudgetEquivalent(t, e, phys, unlimited, unlimitedStats,
+				fmt.Sprintf("trial %d plan %s", trial, a))
 
 			// ~37 B/record × 150 rows ≈ 5.5 KB through the shuffle; 96
 			// bytes per partition forces a run per received batch.
@@ -274,6 +316,7 @@ func TestRandomPipelinesTinyBudgetEquivalent(t *testing.T) {
 			if stats.TotalSpillRuns() > 0 {
 				sawSpill = true
 			}
+			requireSameWork(t, stats, unlimitedStats, fmt.Sprintf("trial %d plan %s (budgeted)", trial, a))
 
 			if len(budgeted) != len(unlimited) {
 				t.Fatalf("trial %d plan %s: budgeted %d records, unlimited %d",
@@ -390,7 +433,8 @@ func TestRandomPipelinesTinyBudgetFaultEquivalent(t *testing.T) {
 // two sources via Match or Cross, followed by random Maps and (for Match)
 // sometimes a Reduce, executed for every enumerated alternative under an
 // artificially tiny MemoryBudget and compared byte-for-byte against the
-// same plan's unlimited-budget run.
+// same plan's unlimited-budget run, with the same per-operator work. A
+// never-reached budget (1<<40) is the third configuration.
 //
 // Byte-level (not just bag) comparison across two executions is only
 // meaningful when the output order is scheduler-independent, so the
@@ -501,10 +545,12 @@ func reduce agg($g) {
 			phys := po.Optimize(a)
 
 			e.MemoryBudget = 0
-			unlimited, _, err := e.Run(phys)
+			unlimited, unlimitedStats, err := e.Run(phys)
 			if err != nil {
 				t.Fatalf("trial %d plan %s: %v", trial, a, err)
 			}
+			requireRoomyBudgetEquivalent(t, e, phys, unlimited, unlimitedStats,
+				fmt.Sprintf("trial %d plan %s", trial, a))
 
 			// A share of a few dozen bytes per partition and side: every
 			// shuffled join input with more than ~two batches per partition
@@ -519,6 +565,7 @@ func reduce agg($g) {
 					sawJoinSpill = true
 				}
 			}
+			requireSameWork(t, stats, unlimitedStats, fmt.Sprintf("trial %d plan %s (budgeted)", trial, a))
 
 			if len(budgeted) != len(unlimited) {
 				t.Fatalf("trial %d plan %s: budgeted %d records, unlimited %d",

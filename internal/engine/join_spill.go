@@ -9,19 +9,20 @@ import (
 )
 
 // This file extends the out-of-core execution path from grouping to joins:
-// a memory-budgeted Match routes its hash-partitioned inputs through the
-// same budget-tracked spillShuffle receivers as Reduce/CoGroup, and
-// partitions that overflowed execute as an external sort-merge join over
-// the k-way merge (spill.Merger) of each side's spilled runs plus its
-// sorted resident remainder. The alignment is the run-aligned variant of
+// a memory-budgeted Match shuffles its hash-partitioned inputs into the
+// same budget-tracked receivers as Reduce/CoGroup, and partitions with a
+// side that overflowed execute as an external sort-merge join over the
+// k-way merge (spill.Merger) of each side's spilled runs plus its sorted
+// resident remainder. The alignment is the run-aligned variant of
 // joinPartition's equal-key-run cross product: both sides are consumed as
 // sorted group streams (groupCursor), unmatched keys are skipped, and equal
 // keys emit their cross product in canonical join order — ascending key,
 // left records major in arrival order — so a budgeted Match is
 // byte-identical to the unlimited run whether zero, some, or all
-// partitions spilled. LocalMergeJoin plans use the merge directly;
-// LocalHashJoin plans under a budget fall back to the same external merge,
-// mirroring how hash grouping falls back to external sort-merge grouping.
+// partitions spilled. A partition with a spilled side runs the external
+// merge whatever the plan's local strategy, mirroring how hash grouping
+// falls back to external sort-merge grouping; the others run the plan's
+// strategy in memory (joinPartition).
 
 // sortedGroupCursor yields equal-key groups from an already key-sorted
 // slice — the in-memory merge join's group stream, sharing the alignment
@@ -45,7 +46,7 @@ func (c *sortedGroupCursor) next() ([]record.Record, error) {
 
 // matchAligned merges two sorted group streams and emits the cross product
 // of every equal-key group pair — the aligner behind both the in-memory
-// Match (joinPartition) and the spilled one (alignedSpilled). Keys present
+// Match (joinPartition) and the spilled one (Engine.local). Keys present
 // on only one side are skipped without a UDF call, which is what separates
 // a Match from the CoGroup alignment in coGroupAligned.
 func (e *Engine) matchAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor, lKeys, rKeys []int) ([]record.Record, int, error) {

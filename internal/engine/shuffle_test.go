@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -148,7 +147,7 @@ func TestShuffleAllocRegression(t *testing.T) {
 	}
 
 	batched := testing.AllocsPerRun(5, func() {
-		e.shuffle(context.Background(), in, keys)
+		e.Shuffle(in, keys)
 	})
 	legacy := testing.AllocsPerRun(5, func() {
 		e.shuffleRecordAtATime(in, keys)

@@ -3,27 +3,26 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"blackboxflow/internal/dataflow"
-	"blackboxflow/internal/obs"
 	"blackboxflow/internal/optimizer"
 	"blackboxflow/internal/record"
 	"blackboxflow/internal/spill"
-	"blackboxflow/internal/transport"
 )
 
-// This file implements the engine's out-of-core execution path: shuffle
-// receivers that track resident bytes against Engine.MemoryBudget and spill
-// sorted runs to disk on overflow, and external sort-merge execution over
-// the merged runs — grouping for Reduce and CoGroup, and (join_spill.go)
-// the external merge join for Match. The invariant that makes the path
-// transparent is canonical order: in-memory grouping (groupRecords) and
-// joining (joinPartition) and the external merges all emit key groups in
-// ascending key order with records in arrival order inside a group, so a
-// plan produces byte-identical output whether zero, some, or all
-// partitions overflowed. See DESIGN.md ("Memory model & spilling").
+// This file holds the engine's out-of-core state and algorithms: the
+// per-partition spill state the shuffle collector (collect) fills when a
+// receiver overflows its share of Engine.MemoryBudget, the budget split
+// itself, and external sort-merge execution over the merged runs — grouping
+// for Reduce and CoGroup, and (join_spill.go) the external merge join for
+// Match — which the local phase runs for partitions that spilled. The
+// invariant that makes spilling transparent is canonical order: in-memory
+// grouping (groupRecords) and joining (joinPartition) and the external
+// merges all emit key groups in ascending key order with records in arrival
+// order inside a group, so a plan produces byte-identical output whether
+// zero, some, or all partitions overflowed. See DESIGN.md ("Memory model &
+// spilling").
 
 // partitionSpill is one target partition's overflow state: the spill file
 // (created lazily on first overflow), the sorted runs written so far, and
@@ -44,343 +43,51 @@ type partitionSpill struct {
 }
 
 // closeSpills releases the spill files of one shuffle's partitions.
-func closeSpills(spills []*partitionSpill) {
-	for _, sp := range spills {
-		if sp != nil && sp.file != nil {
-			sp.file.Close()
+func closeSpills(spills []partitionSpill) {
+	for i := range spills {
+		if spills[i].file != nil {
+			spills[i].file.Close()
 		}
 	}
 }
 
-// spillEligible reports whether this plan node executes through the
-// budget-tracked, spill-capable shuffle receivers: a grouping or join
-// operator (Reduce, CoGroup, Match) with at least one hash-partitioned
-// input, under an engine with a memory budget. The legacy record-at-a-time
-// shuffle predates spilling and keeps the fully resident path, exactly as
-// it bypasses batching and combining. Forward-shipped inputs are already
-// resident in the producer's partitions, so there is no receiver to bound;
-// they group in memory as before. Broadcast-joined sides (Match strategy B,
-// Cross) are replicated rather than shuffled and stay fully resident — the
+// spilledAt returns partition i's spill state when its receiver wrote runs,
+// else nil — the partition is fully resident (or its input was not
+// shuffled at all).
+func spilledAt(spills []partitionSpill, i int) *partitionSpill {
+	if i < len(spills) && len(spills[i].runs) > 0 {
+		return &spills[i]
+	}
+	return nil
+}
+
+// partitionBudget is the share of MemoryBudget each shuffle receiver of p
+// may keep resident: a grouping or join operator (Reduce, CoGroup, Match)
+// under a budget splits it evenly across its DOP partitions and its
+// hash-partitioned inputs (collect floors the share at one batch's worth).
+// Every other shuffle, and every shuffle under no budget, is unbounded and
+// never spills. Forward-shipped inputs are already resident in the
+// producer's partitions, so there is no receiver to bound; broadcast sides
+// are replicated rather than shuffled and stay fully resident — the
 // optimizer's spill term prices that residency, but the engine does not yet
-// spill it.
-func (e *Engine) spillEligible(p *optimizer.PhysPlan) bool {
-	if e.MemoryBudget <= 0 || e.LegacyShuffle {
-		return false
-	}
+// spill it. The legacy record-at-a-time shuffle predates spilling and never
+// reaches a budgeted receiver.
+func (e *Engine) partitionBudget(p *optimizer.PhysPlan) int {
 	switch p.Op.Kind {
-	case dataflow.KindReduce:
-		return len(p.Inputs) == 1 && len(p.Ship) == 1 && p.Ship[0] == optimizer.ShipPartition
-	case dataflow.KindCoGroup, dataflow.KindMatch:
-		if len(p.Inputs) != 2 || len(p.Ship) != 2 {
-			return false
-		}
-		partitioned := false
-		for _, s := range p.Ship {
-			switch s {
-			case optimizer.ShipPartition:
-				partitioned = true
-			case optimizer.ShipForward:
-			default:
-				return false
-			}
-		}
-		return partitioned
+	case dataflow.KindReduce, dataflow.KindCoGroup, dataflow.KindMatch:
+	default:
+		return unbounded
 	}
-	return false
-}
-
-// execSpillGrouped executes a shuffled grouping or join operator through
-// the spill-capable receivers: every hash-partitioned input is shuffled
-// with budget-tracked collectors, and the local strategy runs external
-// sort-merge grouping (Reduce, CoGroup) or the external merge join (Match)
-// on partitions that overflowed. The memory budget is split evenly across
-// the operator's DOP partitions (and across both inputs for a CoGroup or
-// Match shuffling both sides); spillCollect floors each share at one
-// batch's worth.
-func (e *Engine) execSpillGrouped(ctx context.Context, p *optimizer.PhysPlan, stats *RunStats) (Partitioned, error) {
-	op := p.Op
-	inputs := make([]Partitioned, len(p.Inputs))
-	for i, in := range p.Inputs {
-		d, err := e.exec(ctx, in, stats)
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = d
-	}
-
-	st := OpStats{Name: op.Name}
-	for _, in := range inputs {
-		st.InRecords += in.Records()
-	}
-
-	nShuffled := 0
+	shuffled := 0
 	for _, s := range p.Ship {
 		if s == optimizer.ShipPartition {
-			nShuffled++
+			shuffled++
 		}
 	}
-	budget := e.MemoryBudget / (e.DOP * nShuffled)
-
-	spills := make([][]*partitionSpill, len(inputs))
-	defer func() {
-		for _, sps := range spills {
-			closeSpills(sps)
-		}
-	}()
-
-	tr := e.Trace
-	opSpan := tr.Begin(e.TraceParent, op.Name, obs.KindOp)
-	shipSpan := tr.Begin(opSpan, "ship", obs.KindShip)
-	e.curShip = shipSpan
-
-	shipStart := time.Now()
-	for i := range inputs {
-		if p.Ship[i] != optimizer.ShipPartition {
-			continue
-		}
-		var keys []int
-		if i < len(op.Keys) {
-			keys = op.Keys[i]
-		}
-		resident, sps, bytes, err := e.spillShuffle(ctx, inputs[i], keys, budget)
-		if err != nil {
-			e.curShip = 0
-			tr.Fail(shipSpan, err)
-			tr.Fail(opSpan, err)
-			return nil, err
-		}
-		inputs[i] = resident
-		spills[i] = sps
-		st.ShippedBytes += bytes
+	if e.MemoryBudget <= 0 || shuffled == 0 {
+		return unbounded
 	}
-	e.curShip = 0
-	if e.NetBandwidth > 0 && st.ShippedBytes > 0 {
-		want := time.Duration(float64(st.ShippedBytes) / e.NetBandwidth * float64(time.Second))
-		netDelay(ctx, want-time.Since(shipStart))
-	}
-	st.ShipTime = time.Since(shipStart)
-	for _, sps := range spills {
-		for _, sp := range sps {
-			if sp != nil {
-				st.SpilledBytes += sp.bytes
-				st.SpillRuns += len(sp.runs)
-			}
-		}
-	}
-	tr.EndWith(shipSpan, func(s *obs.Span) { s.Bytes = int64(st.ShippedBytes) })
-	e.observeShip(&st)
-	for _, sps := range spills {
-		e.foldSpillSpans(opSpan, sps)
-	}
-
-	localSpan := tr.Begin(opSpan, "local", obs.KindLocal)
-	localStart := time.Now()
-	var out Partitioned
-	var calls int
-	var err error
-	switch op.Kind {
-	case dataflow.KindReduce:
-		out, calls, err = e.localReduceSpilled(ctx, p, inputs[0], spills[0])
-	case dataflow.KindCoGroup:
-		out, calls, err = e.alignedSpilled(ctx, op, inputs[0], inputs[1], spills[0], spills[1], e.coGroupAligned)
-	case dataflow.KindMatch:
-		out, calls, err = e.alignedSpilled(ctx, op, inputs[0], inputs[1], spills[0], spills[1], e.matchAligned)
-	default:
-		err = fmt.Errorf("engine: %s is not a spillable grouping operator", op.Kind)
-	}
-	if err != nil {
-		tr.Fail(localSpan, err)
-		tr.Fail(opSpan, err)
-		return nil, err
-	}
-	st.LocalTime = time.Since(localStart)
-	st.UDFCalls = calls
-	st.OutRecords = out.Records()
-	e.mergeSpan(localSpan, localStart, &st)
-	tr.EndWith(localSpan, func(s *obs.Span) { s.Calls = int64(calls) })
-	tr.EndWith(opSpan, func(s *obs.Span) {
-		s.Records = int64(st.OutRecords)
-		s.Bytes = int64(st.ShippedBytes)
-		s.Runs = int64(st.SpillRuns)
-	})
-	stats.PerOp = append(stats.PerOp, st)
-	return out, nil
-}
-
-// spillShuffle is the budget-tracked variant of shuffle: identical sender
-// topology (shuffleSend routes record.Batch units by key hash over the
-// transport session), but each collector bounds its resident bytes at
-// budget and sorts-and-spills its buffer as a run on overflow. It returns
-// the resident remainders, the per-partition spill state (callers own the
-// files until closeSpills), and the shipped bytes.
-func (e *Engine) spillShuffle(ctx context.Context, in Partitioned, keys []int, budget int) (Partitioned, []*partitionSpill, int, error) {
-	dop := e.DOP
-	sh, err := e.transport().OpenShuffle(ctx, transport.Spec{Senders: len(in), Targets: dop})
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("engine: spill shuffle: %w", err)
-	}
-	stop := context.AfterFunc(ctx, func() { sh.Close() })
-	defer stop()
-	defer sh.Close()
-	var span obs.SpanID
-	var spanStart time.Time
-	if e.Trace != nil {
-		spanStart = time.Now()
-		span = e.Trace.Begin(e.shipParent(), "shuffle", obs.KindShip)
-	}
-	st := &shuffleState{sh: sh, sendErrs: make([]error, len(in)), recvErrs: make([]error, dop)}
-	st.senders.Add(len(in))
-	st.collectors.Add(dop)
-	acc := make([]*record.Batch, len(in)*dop)
-	for si, part := range in {
-		go shuffleSend(ctx, st, si, acc[si*dop:(si+1)*dop], part, keys)
-	}
-	out := make(Partitioned, dop)
-	spills := make([]*partitionSpill, dop)
-	for i := 0; i < dop; i++ {
-		spills[i] = &partitionSpill{}
-		go e.spillCollect(ctx, st, out, spills[i], i, keys, budget)
-	}
-	st.senders.Wait()
-	st.collectors.Wait()
-	bytes := int(st.bytes.Load())
-	if e.Trace != nil {
-		e.foldWireSpans(span, sh, spanStart)
-	}
-	fail := func(err error) {
-		if e.Trace != nil {
-			e.Trace.Fail(span, err)
-		}
-		closeSpills(spills)
-	}
-	// A cancelled run must not hand half-shuffled partitions (or half-written
-	// runs) to the local strategy: close and unlink every spill file now.
-	if err := context.Cause(ctx); err != nil {
-		fail(err)
-		return nil, nil, 0, err
-	}
-	if err := st.firstErr(); err != nil {
-		fail(err)
-		return nil, nil, 0, fmt.Errorf("engine: spill shuffle: %w", err)
-	}
-	for _, sp := range spills {
-		if sp.err != nil {
-			fail(sp.err)
-			return nil, nil, 0, sp.err
-		}
-	}
-	if e.Trace != nil {
-		e.Trace.EndWith(span, func(s *obs.Span) {
-			s.Bytes = int64(bytes)
-			s.Records = int64(in.Records())
-		})
-	}
-	return out, spills, bytes, nil
-}
-
-// spillCollect drains one target partition's channel like shuffleCollect,
-// but tracks the buffer's resident bytes (wire encoding, the unit
-// MemoryBudget is expressed in) and, when they exceed the per-partition
-// budget, sorts the buffer by key and writes it to the partition's spill
-// file as one run. The per-partition share is floored at one batch's worth
-// (the largest batch the collector has buffered so far): the integer
-// division splitting MemoryBudget across DOP×inputs truncates a tiny
-// budget to zero, and an unfloored zero share would spill every arriving
-// batch as its own sorted run — a run count proportional to the batch
-// count and a merge cursor per run, instead of the intended handful of
-// budget-sized runs. With the floor, a run always covers more than one
-// arriving batch, so the worst-case residency is about two batches' worth.
-// The buffer's backing array is reused across runs (cleared first, so the
-// truncated tail does not pin the spilled records against GC — the
-// resident-bytes bound must count live records only). On a disk error the
-// collector keeps draining (senders must never block) but discards the
-// drained records — the run is doomed and buffering its remainder would
-// grow residency without bound in exactly the memory-constrained setting
-// spilling exists for; the error surfaces from spillShuffle. A Recv error
-// is different: it is terminal for the stream (the transport guarantees no
-// more data follows, and any blocked sender is failed by the same
-// transport error, not unblocked by this collector), so the collector
-// records it and exits.
-func (e *Engine) spillCollect(ctx context.Context, st *shuffleState, out Partitioned, sp *partitionSpill, i int, keys []int, budget int) {
-	defer st.collectors.Done()
-	var buf []record.Record
-	resident := 0
-	maxBatch := 0
-	for {
-		b, recvErr := st.sh.Recv(i)
-		if recvErr != nil {
-			st.recvErrs[i] = recvErr
-			break
-		}
-		if b == nil {
-			break
-		}
-		// Cancellation is treated like a disk error: keep draining (senders
-		// must never block) but stop buffering and stop writing runs. The
-		// caller sees the cancelled context and unlinks the partial files.
-		// One check per ~1k-record batch is cheap.
-		if sp.err == nil {
-			sp.err = context.Cause(ctx)
-		}
-		if sp.err != nil {
-			record.PutBatch(b)
-			continue
-		}
-		buf = append(buf, b.Records()...)
-		resident += b.EncodedSize()
-		if b.EncodedSize() > maxBatch {
-			maxBatch = b.EncodedSize()
-		}
-		record.PutBatch(b)
-		if resident <= max(budget, maxBatch) || len(buf) == 0 {
-			continue
-		}
-		writeAt := time.Now()
-		if sp.writeStart.IsZero() {
-			sp.writeStart = writeAt
-		}
-		e.sortRecs(buf, keys)
-		if sp.file == nil {
-			if sp.file, sp.err = spill.CreateIn(e.fs(), e.SpillDir); sp.err != nil {
-				continue
-			}
-		}
-		run, err := sp.file.WriteRun(buf)
-		if err != nil {
-			sp.err = err
-			continue
-		}
-		sp.runs = append(sp.runs, run)
-		sp.bytes += int(run.Length)
-		sp.writeDur += time.Since(writeAt)
-		if e.Hists != nil {
-			e.Hists.SpillRunBytes.Observe(float64(run.Length))
-		}
-		clear(buf)
-		buf = buf[:0]
-		resident = 0
-	}
-	out[i] = buf
-}
-
-// localReduceSpilled runs the Reduce's local strategy over every partition
-// concurrently: partitions that never overflowed group fully in memory with
-// the plan's strategy; overflowed partitions group by external sort-merge
-// over their runs plus the sorted resident remainder. Both orders are
-// canonical (ascending key), so the choice is invisible in the output.
-func (e *Engine) localReduceSpilled(ctx context.Context, p *optimizer.PhysPlan, in Partitioned, spills []*partitionSpill) (Partitioned, int, error) {
-	op := p.Op
-	keys := op.Keys[0]
-	return e.perPartitionIdx(in, func(i int, part []record.Record) ([]record.Record, int, error) {
-		var sp *partitionSpill
-		if i < len(spills) {
-			sp = spills[i]
-		}
-		if sp == nil || len(sp.runs) == 0 {
-			return e.reducePartition(ctx, op, part, keys, p.Local == optimizer.LocalSortGroup)
-		}
-		return e.reduceMerged(ctx, op, part, sp, keys)
-	})
+	return e.MemoryBudget / (e.DOP * shuffled)
 }
 
 // reduceMerged applies the Reduce UDF group-at-a-time over the k-way merge
@@ -508,8 +215,9 @@ func (c *mergeGroupCursor) next() ([]record.Record, error) {
 	}
 }
 
-// sideGroups builds one CoGroup side's group stream: fully in memory when
-// the side never overflowed, external sort-merge otherwise.
+// sideGroups builds one CoGroup or spilled-Match side's group stream: fully
+// in memory (sort-based grouping) when sp is nil, external sort-merge over
+// the side's runs plus its sorted resident remainder otherwise.
 func (e *Engine) sideGroups(part []record.Record, sp *partitionSpill, keys []int) (groupCursor, error) {
 	if sp == nil || len(sp.runs) == 0 {
 		return &memGroupCursor{groups: groupRecords(part, keys, true)}, nil
@@ -539,8 +247,8 @@ func compareKeyPair(l record.Record, lKeys []int, r record.Record, rKeys []int) 
 }
 
 // coGroupAligned merges two sorted group streams and calls the CoGroup UDF
-// once per key in the combined key domain, ascending — the shared core of
-// the in-memory and spilled CoGroup paths.
+// once per key in the combined key domain, ascending — the CoGroup's local
+// strategy, whether its sides group in memory or merge from spilled runs.
 func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r groupCursor, lKeys, rKeys []int) ([]record.Record, int, error) {
 	var out []record.Record
 	calls := 0
@@ -603,70 +311,4 @@ func (e *Engine) coGroupAligned(ctx context.Context, op *dataflow.Operator, l, r
 		}
 	}
 	return out, calls, nil
-}
-
-// alignedSpilled runs a two-sided aligned operator over every partition
-// pair concurrently, feeding the aligner — coGroupAligned for CoGroup,
-// matchAligned for Match — from external merges for sides that overflowed
-// and from in-memory sorted groups for sides that did not.
-func (e *Engine) alignedSpilled(ctx context.Context, op *dataflow.Operator, l, r Partitioned, lSpills, rSpills []*partitionSpill,
-	align func(ctx context.Context, op *dataflow.Operator, lc, rc groupCursor, lKeys, rKeys []int) ([]record.Record, int, error),
-) (Partitioned, int, error) {
-	n := len(l)
-	if len(r) > n {
-		n = len(r)
-	}
-	padded := make(Partitioned, n)
-	return e.perPartitionIdx(padded, func(i int, _ []record.Record) ([]record.Record, int, error) {
-		var lp, rp []record.Record
-		if i < len(l) {
-			lp = l[i]
-		}
-		if i < len(r) {
-			rp = r[i]
-		}
-		var lsp, rsp *partitionSpill
-		if i < len(lSpills) {
-			lsp = lSpills[i]
-		}
-		if i < len(rSpills) {
-			rsp = rSpills[i]
-		}
-		lc, err := e.sideGroups(lp, lsp, op.Keys[0])
-		if err != nil {
-			return nil, 0, err
-		}
-		rc, err := e.sideGroups(rp, rsp, op.Keys[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		return align(ctx, op, lc, rc, op.Keys[0], op.Keys[1])
-	})
-}
-
-// perPartitionIdx applies fn to every partition concurrently, passing the
-// partition index (the variant of perPartition the spill path needs to pair
-// partitions with their spill state).
-func (e *Engine) perPartitionIdx(in Partitioned, fn func(int, []record.Record) ([]record.Record, int, error)) (Partitioned, int, error) {
-	out := make(Partitioned, len(in))
-	calls := make([]int, len(in))
-	errs := make([]error, len(in))
-	var wg sync.WaitGroup
-	for i := range in {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i], calls[i], errs[i] = fn(i, in[i])
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for i := range in {
-		if errs[i] != nil {
-			return nil, 0, errs[i]
-		}
-		total += calls[i]
-	}
-	return out, total, nil
 }

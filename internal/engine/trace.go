@@ -9,24 +9,13 @@ import (
 )
 
 // This file is the engine's seam into internal/obs: span recording for the
-// execution paths (plain, chained, combined, spilled) and histogram
+// operator frame and the fused chains, and histogram
 // observations for ship time and spill run sizes. Tracing is always-on-
 // capable at near-zero cost: spans are recorded at operator/phase
 // granularity (a handful of mutex acquisitions per operator, never per
 // record), hot loops accumulate into per-partition locals that are folded
 // into pre-timed spans at operator end (Trace.Import), and a nil
 // Engine.Trace reduces every hook to a nil check.
-
-// shipParent returns the span that shuffle/combine sessions nest their
-// spans under: the operator's ship span while exec is mid-ship, else the
-// engine's TraceParent — the case for direct Engine.Shuffle calls
-// (benchmarks, tests).
-func (e *Engine) shipParent() obs.SpanID {
-	if e.curShip != 0 {
-		return e.curShip
-	}
-	return e.TraceParent
-}
 
 // foldWireSpans imports one transport span per worker connection of a
 // finished shuffle session: the bytes and frames that crossed the wire to
@@ -59,12 +48,13 @@ func (e *Engine) foldWireSpans(parent obs.SpanID, sh transport.Shuffle, start ti
 // foldSpillSpans imports one spill-write span per overflowed partition of
 // a shuffle's spill state: the write window and byte/run totals each
 // collector accumulated locally while draining its stream.
-func (e *Engine) foldSpillSpans(parent obs.SpanID, spills []*partitionSpill) {
+func (e *Engine) foldSpillSpans(parent obs.SpanID, spills []partitionSpill) {
 	if e.Trace == nil {
 		return
 	}
-	for i, sp := range spills {
-		if sp == nil || len(sp.runs) == 0 {
+	for i := range spills {
+		sp := &spills[i]
+		if len(sp.runs) == 0 {
 			continue
 		}
 		e.Trace.Import(parent, obs.Span{

@@ -3,11 +3,13 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"blackboxflow/internal/dataflow"
+	"blackboxflow/internal/optimizer"
 )
 
 func TestBudgetTier(t *testing.T) {
@@ -129,6 +131,42 @@ func TestPlanCacheHitsSkipRecompilation(t *testing.T) {
 	}
 	if m.PlanCacheHits != 1 || m.PlanCacheMisses != 1 {
 		t.Errorf("plan cache hits/misses = %d/%d, want 1/1", m.PlanCacheHits, m.PlanCacheMisses)
+	}
+}
+
+// TestCostEstimateUnitsColdAndWarm: backpressure sums cost estimates, so a
+// cold submission (single physical optimization) and a warm one (the cached
+// plan's ranked cost) must price the same plan in the same units — both
+// scaled by the fleet's measured network profile.
+func TestCostEstimateUnitsColdAndWarm(t *testing.T) {
+	// A ceiling no job reaches: it only switches cost estimation on.
+	s := New(Config{MaxConcurrent: 1, DOP: 2, MaxQueuedCost: math.MaxFloat64})
+	s.netProfile = optimizer.NetProfile{BytesPerSec: optimizer.ReferenceNetBytesPerSec / 100, LatencySec: 0.05}
+	submit := func() float64 {
+		t.Helper()
+		spec, err := s.ParseScriptJob([]byte(wordcountDoc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return j.CostEstimate()
+	}
+	cold := submit()
+	warm := submit()
+	if m := s.Metrics(); m.PlanCacheHits != 1 {
+		t.Fatalf("plan cache hits = %d, want 1 (the warm submit must price from the cache)", m.PlanCacheHits)
+	}
+	if cold <= 0 {
+		t.Fatalf("cold cost estimate %g, want positive", cold)
+	}
+	if cold != warm {
+		t.Fatalf("cold cost estimate %g != warm (cached plan) estimate %g", cold, warm)
 	}
 }
 

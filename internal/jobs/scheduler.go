@@ -714,6 +714,9 @@ func (s *Scheduler) estimateCost(spec Spec, grant, dop int) float64 {
 	}
 	po := optimizer.NewPhysicalOptimizer(optimizer.NewEstimator(spec.Flow), dop)
 	po.MemoryBudget = float64(grant)
+	// The same measured profile execute ranks with, so a cold estimate and
+	// a cached plan's cost are in the same (reference-network) units.
+	po.Net = s.netProfile
 	plan := po.Optimize(tree)
 	return plan.Cost.Total(po.Weights)
 }
